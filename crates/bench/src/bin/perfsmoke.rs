@@ -6,7 +6,11 @@
 //! full counter rollup, the per-DPU/per-tasklet observability details, and
 //! the JSON/CSV exporter strings — is bit-identical, and — when the
 //! machine actually has ≥4 cores — that the parallel replay is at least
-//! 2× faster. Emits `BENCH_parallel_sim.json` in the working directory.
+//! 2× faster. Every 1-thread and N-thread launch runs on a freshly
+//! prepared matrix, so each one replays cold; a separate warm leg re-runs
+//! one prepared matrix, whose later launches reuse the first launch's
+//! timing, and asserts the warm report equals the cold one bit for bit.
+//! Emits `BENCH_parallel_sim.json` in the working directory.
 
 use std::time::Instant;
 
@@ -16,7 +20,7 @@ use alpha_pim_sim::{
     set_sim_threads, CounterId, KernelReport, ObservabilityLevel, PimConfig, PimSystem,
     SimFidelity,
 };
-use alpha_pim_sparse::{gen, DenseVector, Graph};
+use alpha_pim_sparse::{gen, Coo, DenseVector, Graph};
 
 const DPUS: u32 = 2048;
 const ITERS: u32 = 5;
@@ -30,8 +34,33 @@ const ITERS: u32 = 5;
 /// legitimately dropped.)
 const FAULT_FREE_MAX_CYCLES: u64 = 33_136;
 
+fn prepare(m: &Coo<u32>, sys: &PimSystem) -> PreparedSpmv<BoolOrAnd> {
+    PreparedSpmv::<BoolOrAnd>::prepare(m, SpmvVariant::Coo1d, sys).expect("fits")
+}
+
 fn replay(prep: &PreparedSpmv<BoolOrAnd>, x: &DenseVector<u32>, sys: &PimSystem) -> KernelReport {
     prep.run(x, sys).expect("dims match").kernel
+}
+
+/// Mean seconds of one cold launch: each of `ITERS` launches runs on a
+/// freshly prepared matrix, and only the launch is timed.
+fn time_cold(m: &Coo<u32>, x: &DenseVector<u32>, sys: &PimSystem) -> f64 {
+    let mut secs = 0.0;
+    for _ in 0..ITERS {
+        let prep = prepare(m, sys);
+        let start = Instant::now();
+        std::hint::black_box(replay(&prep, x, sys));
+        secs += start.elapsed().as_secs_f64();
+    }
+    secs / f64::from(ITERS)
+}
+
+/// Asserts two reports are bit-identical, down to the exporter strings.
+fn assert_identical(a: &KernelReport, b: &KernelReport, what: &str) {
+    assert_eq!(a, b, "KernelReport diverged: {what}");
+    assert_eq!(a.seconds.to_bits(), b.seconds.to_bits(), "simulated seconds diverged: {what}");
+    assert_eq!(a.to_json(), b.to_json(), "JSON export diverged: {what}");
+    assert_eq!(a.counters_csv(), b.counters_csv(), "counter CSV diverged: {what}");
 }
 
 fn main() {
@@ -45,7 +74,6 @@ fn main() {
     })
     .expect("valid config");
     let x = DenseVector::filled(graph.nodes() as usize, 1u32);
-    let prep = PreparedSpmv::<BoolOrAnd>::prepare(&m, SpmvVariant::Coo1d, &sys).expect("fits");
 
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     // The parallel leg must actually be parallel: honor ALPHA_PIM_THREADS
@@ -70,51 +98,38 @@ fn main() {
     );
 
     set_sim_threads(threads_seq);
-    let seq_report = replay(&prep, &x, &sys);
+    let seq_report = replay(&prepare(&m, &sys), &x, &sys);
     assert_eq!(
         seq_report.max_cycles, FAULT_FREE_MAX_CYCLES,
         "fault-free makespan drifted — the resilience layer must cost nothing when disabled"
     );
     assert!(!seq_report.degraded, "no fault plan, nothing may degrade");
-    let start = Instant::now();
-    for _ in 0..ITERS {
-        std::hint::black_box(replay(&prep, &x, &sys));
-    }
-    let secs_seq = start.elapsed().as_secs_f64() / f64::from(ITERS);
+    let secs_seq = time_cold(&m, &x, &sys);
 
     set_sim_threads(threads_par);
-    let par_report = replay(&prep, &x, &sys);
-    let start = Instant::now();
-    for _ in 0..ITERS {
-        std::hint::black_box(replay(&prep, &x, &sys));
-    }
-    let secs_par = start.elapsed().as_secs_f64() / f64::from(ITERS);
+    let par_report = replay(&prepare(&m, &sys), &x, &sys);
+    let secs_par = time_cold(&m, &x, &sys);
 
     // The determinism guarantee holds unconditionally: identical reports,
     // down to the bits of the floating-point time, and it extends to the
     // observability layer — per-DPU details, per-tasklet counter sets, and
     // the exporter strings.
-    assert_eq!(
-        seq_report, par_report,
-        "KernelReport diverged between 1 and {threads_par} threads"
-    );
-    assert_eq!(
-        seq_report.seconds.to_bits(),
-        par_report.seconds.to_bits(),
-        "simulated seconds not bit-identical"
-    );
+    assert_identical(&seq_report, &par_report, &format!("1 vs {threads_par} threads"));
     assert!(!seq_report.dpu_details.is_empty(), "PerTasklet observability retains DPU details");
     assert!(seq_report.dpu_details.iter().all(|d| !d.tasklets.is_empty()));
-    assert_eq!(
-        seq_report.to_json(),
-        par_report.to_json(),
-        "JSON export diverged between 1 and {threads_par} threads"
-    );
-    assert_eq!(
-        seq_report.counters_csv(),
-        par_report.counters_csv(),
-        "counter CSV diverged between 1 and {threads_par} threads"
-    );
+
+    // The warm leg: one prepared matrix, launched again after its first
+    // (cold) launch, must reproduce the cold report exactly.
+    let prep = prepare(&m, &sys);
+    let cold_report = replay(&prep, &x, &sys);
+    let warm_report = replay(&prep, &x, &sys);
+    assert_identical(&seq_report, &cold_report, "cold leg vs 1-thread leg");
+    assert_identical(&cold_report, &warm_report, "warm vs cold launch");
+    let start = Instant::now();
+    for _ in 0..ITERS {
+        std::hint::black_box(replay(&prep, &x, &sys));
+    }
+    let secs_warm = start.elapsed().as_secs_f64() / f64::from(ITERS);
     let c = &seq_report.breakdown.counters;
     assert_eq!(
         c.sum(&CounterId::SLOT_CYCLES),
@@ -130,13 +145,13 @@ fn main() {
     let speedup = secs_seq / secs_par;
     println!(
         "perfsmoke: dpus {DPUS} threads {threads_seq}→{threads_par} ({cores} cores) \
-         seq {secs_seq:.4}s par {secs_par:.4}s speedup {speedup:.2}x"
+         seq {secs_seq:.4}s par {secs_par:.4}s warm {secs_warm:.4}s speedup {speedup:.2}x"
     );
 
     let json = format!(
         "{{{}, \"threads_seq\": {threads_seq}, \"threads_par\": {threads_par}, \
          \"cores\": {cores}, \"dpus\": {DPUS}, \"secs_seq\": {secs_seq:.6}, \
-         \"secs_par\": {secs_par:.6}, \"speedup\": {speedup:.3}}}\n",
+         \"secs_par\": {secs_par:.6}, \"secs_warm\": {secs_warm:.6}, \"speedup\": {speedup:.3}}}\n",
         alpha_pim_bench::report::bench_schema_fields("perfsmoke"),
     );
     std::fs::write("BENCH_parallel_sim.json", json).expect("write BENCH_parallel_sim.json");
@@ -152,5 +167,5 @@ fn main() {
             "perfsmoke: {threads_par} thread(s) on {cores} core(s), skipping the 2x speedup gate"
         );
     }
-    println!("perfsmoke: reports bit-identical across thread counts — OK");
+    println!("perfsmoke: reports bit-identical across thread counts and warm launches — OK");
 }

@@ -15,11 +15,13 @@
 //! entry regardless of how sparse the vector's *content* is — which is why
 //! its per-iteration time stays flat across BFS/SSSP iterations (Fig 4).
 
+use std::sync::{Arc, Mutex};
+
 use alpha_pim_sim::instr::InstrClass;
 use alpha_pim_sim::par::par_map_indexed;
-use alpha_pim_sim::report::{EvalRecord, PhaseBreakdown};
-use alpha_pim_sim::trace::TaskletTrace;
-use alpha_pim_sim::{CounterSet, PimSystem, SimFidelity, TaskletStats};
+use alpha_pim_sim::report::{EvalRecord, KernelReport, PhaseBreakdown};
+use alpha_pim_sim::trace::{NoRecord, Record, TaskletTrace};
+use alpha_pim_sim::{CounterSet, PimConfig, PimSystem, SimFidelity, TaskletStats};
 use alpha_pim_sparse::partition::{
     near_square_grid, partition_grid, partition_rows, Balance, GridPartition, RowPartition,
 };
@@ -53,6 +55,32 @@ pub struct PreparedSpmv<S: Semiring> {
     variant: SpmvVariant,
     n: u32,
     data: SpmvData<S::Elem>,
+    /// The timing of the last launch, reused by later launches on a system
+    /// with an equal configuration (see [`SpmvTiming`]).
+    timing: Mutex<Option<Arc<SpmvTiming>>>,
+}
+
+/// Everything a dense SpMV launch produces that does not read the input
+/// vector's values.
+///
+/// The recorded tasklet stream, the WRAM-vs-MRAM input choice, the blocked
+/// output's row order and every fault verdict depend only on the prepared
+/// matrix and the system configuration, so one launch's timing holds for
+/// every later launch on an equal configuration. The integrity guard is
+/// not part of it: silent-flip corruption lands on values, so the guard
+/// admits every launch afresh and folds its ledger into a copy of
+/// `kernel` and `phases`.
+#[derive(Debug)]
+struct SpmvTiming {
+    /// The full configuration of the system the timing was taken on.
+    key: PimConfig,
+    /// The kernel report before the integrity guard's ledger.
+    kernel: KernelReport,
+    /// The phase breakdown before the guard's recompute charge.
+    phases: PhaseBreakdown,
+    /// `(lost, active)` per partition, in merge order.
+    flags: Vec<(bool, bool)>,
+    useful_ops: u64,
 }
 
 /// A row band in CSR form for the 1D CSR variants.
@@ -146,7 +174,7 @@ impl<S: Semiring> PreparedSpmv<S> {
                 SpmvData::Dcoo2d(grid)
             }
         };
-        Ok(PreparedSpmv { variant, n, data })
+        Ok(PreparedSpmv { variant, n, data, timing: Mutex::new(None) })
     }
 
     /// The variant this preparation targets.
@@ -166,6 +194,12 @@ impl<S: Semiring> PreparedSpmv<S> {
     /// record event traces for cycle replay. The value math is shared, so
     /// `y` is bit-identical across fidelities.
     ///
+    /// Dense SpMV timing never reads `x`, so the first launch on a given
+    /// system configuration stores its timing and later launches on an
+    /// equal configuration run only the value loop and the integrity
+    /// guard. Their outcomes are bit-identical to a freshly prepared
+    /// matrix's.
+    ///
     /// # Errors
     ///
     /// Returns [`AlphaPimError::Dimension`] if `x.len() != n`.
@@ -174,190 +208,172 @@ impl<S: Semiring> PreparedSpmv<S> {
         x: &DenseVector<S::Elem>,
         sys: &PimSystem,
     ) -> Result<IterationOutcome<S>, AlphaPimError> {
-        if matches!(sys.config().fidelity, SimFidelity::Analytic) {
-            self.run_impl::<TaskletStats>(x, sys)
-        } else {
-            self.run_impl::<TaskletTrace>(x, sys)
-        }
-    }
-
-    fn run_impl<R: EvalRecord>(
-        &self,
-        x: &DenseVector<S::Elem>,
-        sys: &PimSystem,
-    ) -> Result<IterationOutcome<S>, AlphaPimError> {
         if x.len() != self.n as usize {
             return Err(AlphaPimError::Dimension { expected: self.n as usize, actual: x.len() });
         }
-        let eb = S::elem_bytes() as u64;
-        let tasklets = sys.config().tasklets_per_dpu;
-        let mut acc = sys.accumulator();
-        let proto = R::fresh(sys.config());
-        let mut y = vec![S::zero(); self.n as usize];
-        let mut ops: u64 = 0;
+        // A poisoned slot reads as a miss and is never written again.
+        let memo = self.timing.lock().ok().and_then(|slot| {
+            slot.as_ref().filter(|t| t.key == *sys.config()).cloned()
+        });
+        if let Some(timing) = memo {
+            let locals = self.value_loops(x.values(), sys, &NoRecord, |_, _| ());
+            return self.finish(locals.into_iter().map(|((), local)| local), &timing, sys);
+        }
+        let (locals, timing) = if matches!(sys.config().fidelity, SimFidelity::Analytic) {
+            self.timed_launch::<TaskletStats>(x.values(), sys)
+        } else {
+            self.timed_launch::<TaskletTrace>(x.values(), sys)
+        };
+        let outcome = self.finish(locals, &timing, sys);
+        if let Ok(mut slot) = self.timing.lock() {
+            *slot = Some(Arc::new(timing));
+        }
+        outcome
+    }
 
+    /// Runs every partition's value loop under recorder `R`, passing each
+    /// partition's recorded tasklets to `eval`. Results come back in
+    /// partition order, each with the partition's output band.
+    fn value_loops<R, T, F>(
+        &self,
+        xs: &[S::Elem],
+        sys: &PimSystem,
+        proto: &R,
+        eval: F,
+    ) -> Vec<(T, Vec<S::Elem>)>
+    where
+        R: Record + Clone + Send + Sync,
+        T: Send,
+        F: Fn(u32, &[R]) -> T + Sync,
+    {
+        let tasklets = sys.config().tasklets_per_dpu;
+        let wram = sys.config().wram_bytes;
+        // Partitions are independent: evaluate them on the pool (each with
+        // its own output band); `finish` merges them in partition order so
+        // the report and `y` match a sequential run.
         match &self.data {
-            SpmvData::Coo1d(parts) => {
-                let mut retrieve = vec![0u64; parts.len()];
-                // Partitions are independent: evaluate them on the pool
-                // (each with its own output band), then merge in partition
-                // order so the report and `y` match a sequential run.
-                let evals = par_map_indexed(parts, |_, p| {
-                    let band = (p.row_range.end - p.row_range.start) as usize;
-                    let mut local = vec![S::zero(); band];
-                    let traces = coo_band_traces::<S, R>(
-                        &p.matrix,
-                        x.values(),
-                        &mut local,
-                        tasklets,
-                        XAccess::MramRandom,
-                        sys.config().wram_bytes,
-                        &proto,
-                    );
-                    (acc.evaluate_records(p.part, &traces), local)
-                });
-                let mut guard = IntegrityGuard::new(sys);
-                for (p, (eval, mut local)) in parts.iter().zip(evals) {
-                    let lost = eval.is_lost();
-                    let active = eval.is_active();
-                    acc.merge(eval);
-                    if lost {
-                        // Unsurvivable DPU loss: drop the partition's
-                        // results; the report completes degraded.
-                        continue;
-                    }
-                    if active {
-                        guard.admit_band::<S>(p.part, p.row_range.start, &mut local);
-                    }
-                    ops += 2 * p.matrix.nnz() as u64;
-                    let band = local.len() as u64;
-                    for (i, v) in local.into_iter().enumerate() {
-                        y[p.row_range.start as usize + i] = v;
-                    }
-                    retrieve[p.part as usize] = band * eb;
-                }
-                let mut kernel = acc.finish();
-                let mut host = CounterSet::new();
-                // Zero-length bands (`parts > n`) hold no rows, so the
-                // vector is only broadcast to the DPUs that compute.
-                let live = parts.iter().filter(|p| !p.row_range.is_empty()).count() as u32;
-                let mut phases = PhaseBreakdown {
-                    load: sys.broadcast_time_counted(self.n as u64 * eb, live, &mut host),
-                    kernel: kernel.seconds + KERNEL_LAUNCH_S,
-                    retrieve: sys.gather_time_counted(&retrieve, &mut host),
-                    merge: 0.0,
-                };
-                kernel.breakdown.counters.merge(&host);
-                guard.finalize(sys, &mut kernel, &mut phases);
-                finish_outcome::<S>(y, kernel, phases, ops)
-            }
-            SpmvData::Csr1d(bands) => {
-                let mut retrieve = vec![0u64; bands.len()];
-                let evals = par_map_indexed(bands, |part, b| {
-                    let band = (b.rows.end - b.rows.start) as usize;
-                    let mut local = vec![S::zero(); band];
-                    let traces = csr_band_traces::<S, R>(
-                        &b.matrix,
-                        x.values(),
-                        &mut local,
-                        tasklets,
-                        sys.config().wram_bytes,
-                        &proto,
-                    );
-                    (acc.evaluate_records(part as u32, &traces), local)
-                });
-                let mut guard = IntegrityGuard::new(sys);
-                for (part, (b, (eval, mut local))) in bands.iter().zip(evals).enumerate() {
-                    let lost = eval.is_lost();
-                    let active = eval.is_active();
-                    acc.merge(eval);
-                    if lost {
-                        continue;
-                    }
-                    if active {
-                        guard.admit_band::<S>(part as u32, b.rows.start, &mut local);
-                    }
-                    ops += 2 * b.matrix.nnz() as u64;
-                    retrieve[part] = local.len() as u64 * eb;
-                    for (i, v) in local.into_iter().enumerate() {
-                        y[b.rows.start as usize + i] = v;
-                    }
-                }
-                let mut kernel = acc.finish();
-                let mut host = CounterSet::new();
-                let live = bands.iter().filter(|b| !b.rows.is_empty()).count() as u32;
-                let mut phases = PhaseBreakdown {
-                    load: sys.broadcast_time_counted(self.n as u64 * eb, live, &mut host),
-                    kernel: kernel.seconds + KERNEL_LAUNCH_S,
-                    retrieve: sys.gather_time_counted(&retrieve, &mut host),
-                    merge: 0.0,
-                };
-                kernel.breakdown.counters.merge(&host);
-                guard.finalize(sys, &mut kernel, &mut phases);
-                finish_outcome::<S>(y, kernel, phases, ops)
-            }
+            SpmvData::Coo1d(parts) => par_map_indexed(parts, |_, p| {
+                let mut local = vec![S::zero(); (p.row_range.end - p.row_range.start) as usize];
+                let recs = coo_band_traces::<S, R>(
+                    &p.matrix,
+                    xs,
+                    &mut local,
+                    tasklets,
+                    XAccess::MramRandom,
+                    wram,
+                    proto,
+                );
+                (eval(p.part, &recs), local)
+            }),
+            SpmvData::Csr1d(bands) => par_map_indexed(bands, |part, b| {
+                let mut local = vec![S::zero(); (b.rows.end - b.rows.start) as usize];
+                let recs =
+                    csr_band_traces::<S, R>(&b.matrix, xs, &mut local, tasklets, wram, proto);
+                (eval(part as u32, &recs), local)
+            }),
             SpmvData::Dcoo2d(grid) => {
-                let mut load = vec![0u64; grid.tiles.len()];
-                let mut retrieve = vec![0u64; grid.tiles.len()];
                 // A segment cached in WRAM must leave room for the tasklet
                 // streaming buffers and the shared output accumulator, so
                 // only segments up to a quarter of WRAM qualify; larger
                 // segments take input-driven random MRAM accesses, the
                 // irregular pattern the paper attributes SpMV's memory
                 // stalls to (§6.4.1).
-                let cache_budget = (sys.config().wram_bytes / 4) as u64;
-                let evals = par_map_indexed(&grid.tiles, |_, t| {
+                let cache_budget = (wram / 4) as u64;
+                par_map_indexed(&grid.tiles, |_, t| {
                     let rows = (t.row_range.end - t.row_range.start) as usize;
-                    let seg = &x.values()[t.col_range.start as usize..t.col_range.end as usize];
+                    let seg = &xs[t.col_range.start as usize..t.col_range.end as usize];
                     if rows == 0 || seg.is_empty() {
                         // Degenerate tile (more grid rows/cols than
                         // indices): no input segment is scattered to it
                         // and no kernel is launched on it.
-                        return (acc.evaluate_records::<R>(t.part, &[]), Vec::new(), 0u64);
+                        return (eval(t.part, &[]), Vec::new());
                     }
-                    let seg_bytes = seg.len() as u64 * eb;
+                    let seg_bytes = seg.len() as u64 * S::elem_bytes() as u64;
                     let access = if seg_bytes <= cache_budget {
                         XAccess::WramCached { preload_bytes: seg_bytes }
                     } else {
                         XAccess::MramRandom
                     };
                     let mut local = vec![S::zero(); rows];
-                    let traces = coo_band_traces::<S, R>(
-                        &t.matrix,
-                        seg,
-                        &mut local,
-                        tasklets,
-                        access,
-                        sys.config().wram_bytes,
-                        &proto,
+                    let recs = coo_band_traces::<S, R>(
+                        &t.matrix, seg, &mut local, tasklets, access, wram, proto,
                     );
-                    (acc.evaluate_records(t.part, &traces), local, seg_bytes)
-                });
-                // Tiles in the same grid row overlap in `y`, so the
-                // cross-tile reduction must stay in tile order (semiring
-                // `add` is not assumed commutative-exact over f32).
-                let mut guard = IntegrityGuard::new(sys);
-                for (t, (eval, mut local, seg_bytes)) in grid.tiles.iter().zip(evals) {
-                    let lost = eval.is_lost();
-                    let active = eval.is_active();
-                    acc.merge(eval);
-                    if lost {
-                        continue;
-                    }
-                    if active {
-                        guard.admit_band::<S>(t.part, t.row_range.start, &mut local);
-                    }
-                    ops += 2 * t.matrix.nnz() as u64;
-                    retrieve[t.part as usize] = local.len() as u64 * eb;
-                    for (i, v) in local.into_iter().enumerate() {
-                        let g = t.row_range.start as usize + i;
-                        y[g] = S::add(y[g], v);
-                    }
-                    load[t.part as usize] = seg_bytes;
+                    (eval(t.part, &recs), local)
+                })
+            }
+        }
+    }
+
+    /// `(logical DPU, first output row, nnz)` of each partition, in merge
+    /// order.
+    fn bands(&self) -> Vec<(u32, u32, usize)> {
+        match &self.data {
+            SpmvData::Coo1d(parts) => {
+                parts.iter().map(|p| (p.part, p.row_range.start, p.matrix.nnz())).collect()
+            }
+            SpmvData::Csr1d(bands) => bands
+                .iter()
+                .enumerate()
+                .map(|(i, b)| (i as u32, b.rows.start, b.matrix.nnz()))
+                .collect(),
+            SpmvData::Dcoo2d(grid) => {
+                grid.tiles.iter().map(|t| (t.part, t.row_range.start, t.matrix.nnz())).collect()
+            }
+        }
+    }
+
+    /// Runs the value loops while recording `R`, and evaluates the
+    /// recorded launch into its timing.
+    fn timed_launch<R: EvalRecord>(
+        &self,
+        xs: &[S::Elem],
+        sys: &PimSystem,
+    ) -> (Vec<Vec<S::Elem>>, SpmvTiming) {
+        let eb = S::elem_bytes() as u64;
+        let mut acc = sys.accumulator();
+        let evals = self.value_loops(xs, sys, &R::fresh(sys.config()), |part, recs| {
+            acc.evaluate_records(part, recs)
+        });
+        let mut flags = Vec::with_capacity(evals.len());
+        let mut locals = Vec::with_capacity(evals.len());
+        for (eval, local) in evals {
+            flags.push((eval.is_lost(), eval.is_active()));
+            acc.merge(eval);
+            locals.push(local);
+        }
+        let mut kernel = acc.finish();
+        // A lost partition's output is dropped, so it retrieves nothing
+        // and its operations do not count.
+        let mut ops = 0u64;
+        let mut retrieve = vec![0u64; locals.len()];
+        for (i, (part, _, nnz)) in self.bands().into_iter().enumerate() {
+            if !flags[i].0 {
+                ops += 2 * nnz as u64;
+                retrieve[part as usize] = locals[i].len() as u64 * eb;
+            }
+        }
+        let mut host = CounterSet::new();
+        let phases = match &self.data {
+            SpmvData::Coo1d(_) | SpmvData::Csr1d(_) => {
+                // Zero-length bands (`parts > n`) hold no rows, so the
+                // vector is only broadcast to the DPUs that compute.
+                let live = locals.iter().filter(|l| !l.is_empty()).count() as u32;
+                PhaseBreakdown {
+                    load: sys.broadcast_time_counted(self.n as u64 * eb, live, &mut host),
+                    kernel: kernel.seconds + KERNEL_LAUNCH_S,
+                    retrieve: sys.gather_time_counted(&retrieve, &mut host),
+                    merge: 0.0,
                 }
-                let mut kernel = acc.finish();
-                let mut host = CounterSet::new();
-                let mut phases = PhaseBreakdown {
+            }
+            SpmvData::Dcoo2d(grid) => {
+                // Degenerate tiles (empty band) receive no segment.
+                let mut load = vec![0u64; locals.len()];
+                for (i, t) in grid.tiles.iter().enumerate() {
+                    if !flags[i].0 && !locals[i].is_empty() {
+                        load[t.part as usize] = (t.col_range.end - t.col_range.start) as u64 * eb;
+                    }
+                }
+                PhaseBreakdown {
                     load: sys.scatter_time_counted(&load, &mut host),
                     kernel: kernel.seconds + KERNEL_LAUNCH_S,
                     retrieve: sys.gather_time_counted(&retrieve, &mut host),
@@ -367,29 +383,63 @@ impl<S: Semiring> PreparedSpmv<S> {
                         eb as u32,
                         &mut host,
                     ),
-                };
-                kernel.breakdown.counters.merge(&host);
-                guard.finalize(sys, &mut kernel, &mut phases);
-                finish_outcome::<S>(y, kernel, phases, ops)
+                }
+            }
+        };
+        kernel.breakdown.counters.merge(&host);
+        let timing = SpmvTiming {
+            key: sys.config().clone(),
+            kernel,
+            phases,
+            flags,
+            useful_ops: ops,
+        };
+        (locals, timing)
+    }
+
+    /// Merges the partitions' output bands into `y` in partition order,
+    /// passing each active one through the integrity guard, and completes
+    /// the outcome from `timing`.
+    fn finish(
+        &self,
+        locals: impl IntoIterator<Item = Vec<S::Elem>>,
+        timing: &SpmvTiming,
+        sys: &PimSystem,
+    ) -> Result<IterationOutcome<S>, AlphaPimError> {
+        // Tiles in the same grid row overlap in `y`, so the cross-tile
+        // reduction must stay in tile order (semiring `add` is not assumed
+        // commutative-exact over f32); 1D bands are disjoint.
+        let reduce = matches!(self.data, SpmvData::Dcoo2d(_));
+        let mut y = vec![S::zero(); self.n as usize];
+        let mut guard = IntegrityGuard::new(sys);
+        for ((part, start, _), (&(lost, active), mut local)) in
+            self.bands().into_iter().zip(timing.flags.iter().zip(locals))
+        {
+            if lost {
+                // Unsurvivable DPU loss: drop the partition's results; the
+                // report completes degraded.
+                continue;
+            }
+            if active {
+                guard.admit_band::<S>(part, start, &mut local);
+            }
+            for (i, v) in local.into_iter().enumerate() {
+                let g = start as usize + i;
+                y[g] = if reduce { S::add(y[g], v) } else { v };
             }
         }
+        let mut kernel = timing.kernel.clone();
+        let mut phases = timing.phases;
+        guard.finalize(sys, &mut kernel, &mut phases);
+        let output_nnz = y.iter().filter(|v| !S::is_zero(v)).count();
+        Ok(IterationOutcome {
+            y: DenseVector::from_values(y),
+            phases,
+            kernel,
+            useful_ops: timing.useful_ops,
+            output_nnz,
+        })
     }
-}
-
-fn finish_outcome<S: Semiring>(
-    y: Vec<S::Elem>,
-    kernel: alpha_pim_sim::report::KernelReport,
-    phases: PhaseBreakdown,
-    ops: u64,
-) -> Result<IterationOutcome<S>, AlphaPimError> {
-    let output_nnz = y.iter().filter(|v| !S::is_zero(v)).count();
-    Ok(IterationOutcome {
-        y: DenseVector::from_values(y),
-        phases,
-        kernel,
-        useful_ops: ops,
-        output_nnz,
-    })
 }
 
 /// Functional + trace execution of one DPU's COO band with a dense input
@@ -397,7 +447,7 @@ fn finish_outcome<S: Semiring>(
 /// the output either in shared WRAM (band fits; tasklets own near-disjoint
 /// row ranges, so only a boundary merge needs a lock) or through the
 /// blocked MRAM cache model.
-fn coo_band_traces<S: Semiring, R: EvalRecord>(
+fn coo_band_traces<S: Semiring, R: Record + Clone>(
     m: &Coo<S::Elem>,
     xs: &[S::Elem],
     local_y: &mut [S::Elem],
@@ -483,7 +533,7 @@ fn coo_band_traces<S: Semiring, R: EvalRecord>(
 /// and the contiguous element run, and accumulate each row in registers
 /// before one store — CSR's natural row-major pattern (no output locking,
 /// but row-count imbalance across tasklets).
-fn csr_band_traces<S: Semiring, R: EvalRecord>(
+fn csr_band_traces<S: Semiring, R: Record + Clone>(
     m: &alpha_pim_sparse::Csr<S::Elem>,
     xs: &[S::Elem],
     local_y: &mut [S::Elem],

@@ -93,4 +93,4 @@ pub use report::{
 };
 pub use resilience::{FaultSummary, RecoverySummary};
 pub use system::PimSystem;
-pub use trace::{OpenLoopArrivals, Record, TaskletTrace, TraceEvent};
+pub use trace::{NoRecord, OpenLoopArrivals, Record, TaskletTrace, TraceEvent};

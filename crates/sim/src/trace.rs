@@ -235,6 +235,29 @@ impl Record for TaskletTrace {
     }
 }
 
+/// A recorder that records nothing.
+///
+/// Running a kernel builder with `NoRecord` executes its value math alone.
+/// Kernels whose timing does not depend on input values (dense SpMV) use
+/// it to replay a launch whose report is already known: the same builder
+/// code computes the same values, with every recording call compiled away.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct NoRecord;
+
+impl Record for NoRecord {
+    fn compute(&mut self, _class: InstrClass, _count: u32) {}
+
+    fn dma(&mut self, _bytes: u32) {}
+
+    fn dma_stream(&mut self, _total_bytes: u64, _chunk_bytes: u32, _per_chunk_overhead: u32) {}
+
+    fn mutex_lock(&mut self, _id: u16) {}
+
+    fn mutex_unlock(&mut self, _id: u16) {}
+
+    fn barrier(&mut self) {}
+}
+
 /// A seeded open-loop arrival process over the model clock.
 ///
 /// Generates Poisson-like query arrival times (exponential inter-arrival

@@ -27,7 +27,7 @@ use alpha_pim::serve::{
 use alpha_pim::service::{seeded_workload, Priority, ServiceConfig, ServiceEngine, TenantSpec};
 use alpha_pim::{AlphaPim, CheckpointPolicy, CheckpointStore};
 use alpha_pim_sim::par::set_sim_threads;
-use alpha_pim_sim::report::KernelReport;
+use alpha_pim_sim::report::{BatchReport, KernelReport};
 use alpha_pim_sim::{CounterId, CounterSet, FaultPlan, HostCrashPlan, PimConfig, SimFidelity};
 use alpha_pim_sparse::{datasets, Graph};
 
@@ -277,6 +277,83 @@ fn quarantine_replans_without_changing_answers() {
     assert!(quarantined.quarantine().is_empty());
     let (again, _) = quarantined.serve(&weighted, &trace).expect("restored serve");
     assert_eq!(fingerprint_results(&again), fingerprint_results(&expected));
+}
+
+/// A batch report without its partition-cache accounting, which differs
+/// by design between a warm engine and a cold one.
+fn modulo_cache(report: &BatchReport) -> BatchReport {
+    let mut r = report.clone();
+    r.cache_hits = 0;
+    r.cache_misses = 0;
+    for id in [
+        CounterId::ServeCacheHits,
+        CounterId::ServeCacheMisses,
+        CounterId::ServeCacheEvictions,
+        CounterId::ServeEvictedBytes,
+    ] {
+        r.counters.set(id, 0);
+    }
+    r
+}
+
+/// Two quarantine sets of equal size share a serve-cache key (it carries
+/// the DPU count, not which DPUs), so swapping between them reuses the
+/// prepared matrices while the physical DPUs behind them — and with them
+/// every fault fate and launch timing — change. Swapping A → B → A on one
+/// engine must answer and account exactly as a cold engine quarantined to
+/// the same set.
+#[test]
+fn equal_size_quarantine_swaps_match_cold_engines() {
+    let (abbrev, graph) = catalog_graphs().swap_remove(2);
+    let weighted = graph.with_random_weights(9);
+    let plan = FaultPlan { straggler_rate: 0.2, ..flips(0.2) };
+    let eng = engine(Some(plan));
+    let config = ServeConfig {
+        options: AppOptions {
+            policy: alpha_pim::apps::KernelPolicy::SpmvOnly(alpha_pim::SpmvVariant::Dcoo2d),
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let trace = seeded_trace_weighted(weighted.nodes(), 6, 0x5EED, [1, 1, 1]);
+    let set_a = [3, 17, 41];
+    let set_b = [5, 18, 60];
+    let cold = |set: &[u32]| {
+        let mut serve = ServeEngine::new(&eng, config);
+        serve.set_quarantine(set);
+        serve.serve(&weighted, &trace).expect("cold quarantined serve")
+    };
+    let (want_a, reports_a) = cold(&set_a);
+    let (want_b, reports_b) = cold(&set_b);
+    assert_ne!(
+        format!("{want_a:?}"),
+        format!("{want_b:?}"),
+        "{abbrev}: the two sets must differ in timing for the swap to test anything",
+    );
+
+    let mut swapped = ServeEngine::new(&eng, config);
+    let steps = [(&set_a, &want_a, &reports_a), (&set_b, &want_b, &reports_b)];
+    for (step, &(set, want, want_reports)) in [steps[0], steps[1], steps[0]].iter().enumerate() {
+        swapped.set_quarantine(set);
+        let (got, got_reports) = swapped.serve(&weighted, &trace).expect("swapped serve");
+        assert_eq!(
+            format!("{got:?}"),
+            format!("{want:?}"),
+            "{abbrev}: step {step} answers or per-iteration reports diverged from a cold engine",
+        );
+        let strip = |rs: &[BatchReport]| rs.iter().map(modulo_cache).collect::<Vec<_>>();
+        assert_eq!(
+            strip(&got_reports),
+            strip(want_reports),
+            "{abbrev}: step {step} batch accounting diverged from a cold engine",
+        );
+        if step > 0 {
+            assert!(
+                got_reports.iter().all(|r| r.cache_misses == 0),
+                "{abbrev}: step {step} must reuse the prepared matrices",
+            );
+        }
+    }
 }
 
 fn service_config(quarantine_threshold: Option<u32>) -> ServiceConfig {
